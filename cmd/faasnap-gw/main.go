@@ -50,7 +50,7 @@ func run(logger *log.Logger) error {
 		backends       = flag.String("backends", "", "comma-separated daemon addresses (host:port), required")
 		replicas       = flag.Int("replicas", 1, "standby backends receiving registration and snapshot replication")
 		policy         = flag.String("policy", gateway.PolicySticky, "placement policy: sticky or random")
-		healthInterval = flag.Duration("health-interval", time.Second, "backend /readyz + /metrics sweep period")
+		healthInterval = flag.Duration("health-interval", time.Second, "backend health sweep period (one GET /readyz routing digest per backend)")
 		requestTimeout = flag.Duration("request-timeout", 0, "per-request deadline across all backend attempts (0 = default 30s)")
 		retries        = flag.Int("retries", 0, "max backends tried per request (0 = default 3)")
 		maxPerBackend  = flag.Int64("max-per-backend", 0, "in-flight load per backend before spillover (0 = default 256)")

@@ -49,7 +49,7 @@ commands:
   waterfall <trace-id>                      render a trace as an ASCII waterfall (restore, gc, sweep, recovery)
   events [--follow] [--cluster]             event ledger; --follow streams NDJSON from a daemon,
                                             --cluster merges every backend's ledger via a gateway
-  metrics                                   daemon counters
+  metrics                                   Prometheus metrics (daemon or gateway)
   cluster [fn]                              gateway topology (and fn's placement preference)
   slo                                       SLO burn-rate report (/cluster/slo on a gateway, /slo on a daemon)
   profiles [fn]                             flight-recorder summary (/cluster/profiles or /profiles?summary=1)
@@ -215,7 +215,7 @@ func main() {
 		}
 		call("GET", "/manifest", nil)
 	case "metrics":
-		call("GET", "/metrics.json", nil)
+		call("GET", "/metrics", nil)
 	case "cluster":
 		if len(rest) > 1 {
 			usage()

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 
 	"faasnap/internal/daemon"
 	"faasnap/internal/kvstore"
@@ -105,6 +107,14 @@ func main() {
 		st, _ := e.Info()
 		fmt.Printf("\npersisted artifact: %s (%d bytes)\n", e.Name(), st.Size())
 	}
-	m := call("GET", srv.URL+"/metrics.json", nil)
-	fmt.Printf("daemon metrics: %v\n", m)
+	resp, err := http.Get(srv.URL + "/metrics")
+	must(err)
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if strings.HasPrefix(sc.Text(), "faasnap_invocations_total") {
+			fmt.Printf("daemon metric: %s\n", sc.Text())
+		}
+	}
+	must(sc.Err())
 }

@@ -162,30 +162,49 @@ func (d *Daemon) verifyChunks(name string, cm *snapfile.ChunkMap) error {
 	return nil
 }
 
-// missingChunks counts refs in name's chunk map that neither tier of
-// the local store can serve — the deficit GET /manifest surfaces so
-// anti-entropy knows this replica needs an eager re-sync.
-func (d *Daemon) missingChunks(name string) int {
-	if d.cas == nil {
-		return 0
-	}
+// absentChunks splits the refs in name's chunk map that neither tier of
+// the local store can serve into missing (lost: anti-entropy must
+// re-sync them) and pending (still queued for the background lazy
+// fetcher, so merely in flight).
+func (d *Daemon) absentChunks(name string) (missing, pending int) {
 	fs, ok := d.fn(name)
-	if !ok {
-		return 0
+	if d.cas == nil || !ok {
+		return 0, 0
 	}
 	fs.mu.Lock()
 	cm := fs.chunks
 	fs.mu.Unlock()
 	if cm == nil {
-		return 0
+		return 0, 0
 	}
-	missing := 0
+	d.lazyMu.Lock()
 	for _, ref := range cm.Refs {
-		if !d.cas.Has(casstore.Digest(ref.Digest)) {
+		dg := casstore.Digest(ref.Digest)
+		switch {
+		case d.cas.Has(dg):
+		case d.lazyQueued[dg] > 0:
+			pending++
+		default:
 			missing++
 		}
 	}
-	return missing
+	d.lazyMu.Unlock()
+	return missing, pending
+}
+
+// queueLazy marks refs as queued for a background lazy fetcher (n = 1)
+// or no longer queued (n = -1), and keeps
+// faasnap_cas_lazy_pending_chunks at the total queued.
+func (d *Daemon) queueLazy(refs []snapfile.ChunkRef, n int) {
+	d.lazyMu.Lock()
+	defer d.lazyMu.Unlock()
+	for _, ref := range refs {
+		dg := casstore.Digest(ref.Digest)
+		if d.lazyQueued[dg] += n; d.lazyQueued[dg] <= 0 {
+			delete(d.lazyQueued, dg)
+		}
+	}
+	d.casLazyPending.Add(float64(n * len(refs)))
 }
 
 // handleChunkGet serves one chunk's bytes. Corrupt chunks have been
@@ -518,6 +537,9 @@ func (d *Daemon) handleSync(w http.ResponseWriter, r *http.Request) {
 		fs = &fnState{spec: arts.Fn}
 		d.reg.set(name, fs)
 	}
+	// Queue the lazy tail before the chunk map is published, so the
+	// manifest never counts an in-flight chunk as missing.
+	d.queueLazy(lazy, 1)
 	fs.mu.Lock()
 	fs.arts = arts
 	fs.chunks = cm
@@ -571,7 +593,6 @@ func (d *Daemon) handleSync(w http.ResponseWriter, r *http.Request) {
 	chaos.MaybeCrash(chaos.CrashRecordPostReply)
 
 	if len(lazy) > 0 {
-		d.casLazyPending.Add(float64(len(lazy)))
 		d.casLazyWG.Add(1)
 		lazyOffset := time.Since(start)
 		lazyWall := time.Now()
@@ -630,7 +651,8 @@ func joinTiers(tiers []string) string {
 }
 
 // fetchLazyChunks pulls a sync's deferred chunks in the background,
-// retrying transient failures with a short backoff. Failures are not
+// retrying transient failures with a short backoff. Each chunk counts
+// as chunks_pending until it is fetched or abandoned. Failures are not
 // fatal — the function serves from its loading set — but a chunk
 // abandoned here is counted and surfaced as chunks_missing in GET
 // /manifest, which makes the gateway's anti-entropy pass issue an
@@ -640,7 +662,7 @@ func (d *Daemon) fetchLazyChunks(name, source string, refs []snapfile.ChunkRef) 
 	for i, ref := range refs {
 		select {
 		case <-d.casLazyStop:
-			d.casLazyPending.Add(-float64(len(refs) - i))
+			d.queueLazy(refs[i:], -1)
 			return fetched, abandoned
 		default:
 		}
@@ -651,7 +673,7 @@ func (d *Daemon) fetchLazyChunks(name, source string, refs []snapfile.ChunkRef) 
 				case <-d.casLazyStop:
 					// Shutting down: the unfetched tail stays missing and is
 					// re-synced by recovery or anti-entropy.
-					d.casLazyPending.Add(-float64(len(refs) - i))
+					d.queueLazy(refs[i:], -1)
 					return fetched, abandoned
 				case <-time.After(time.Duration(try) * 50 * time.Millisecond):
 				}
@@ -667,7 +689,7 @@ func (d *Daemon) fetchLazyChunks(name, source string, refs []snapfile.ChunkRef) 
 		} else {
 			fetched++
 		}
-		d.casLazyPending.Dec()
+		d.queueLazy(refs[i:i+1], -1)
 	}
 	if abandoned > 0 {
 		d.log.Printf("sync of %s left %d lazy chunks unfetched; reported as chunks_missing for anti-entropy re-sync", name, abandoned)

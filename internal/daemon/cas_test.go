@@ -3,12 +3,15 @@ package daemon
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"io"
+	"log"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -355,4 +358,60 @@ func TestCASRecoveryKeepsChunks(t *testing.T) {
 		t.Fatalf("recovery changed chunk count: %d -> %d", before.Stats.LocalChunks, after.Stats.LocalChunks)
 	}
 	casInvoke(t, srv2, "cas-alpha")
+}
+
+// Records and GC sweeps running concurrently must not deadlock. Both
+// take casOps and the function's fs.mu; the sweep takes casOps first,
+// so a record that took fs.mu first and then waited on casOps behind a
+// pending sweep would hang both requests. Handlers are driven directly
+// so a hang fails the test at its deadline instead of wedging a server
+// shutdown.
+func TestRecordAndGCDoNotDeadlock(t *testing.T) {
+	d, err := New(Config{StateDir: t.TempDir(), Logger: log.New(io.Discard, "", 0)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := d.Handler()
+	serve := func(method, path, body string) int {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+		return rec.Code
+	}
+	raw, _ := json.Marshal(casSpec("cas-lockorder"))
+	if code := serve("PUT", "/functions/cas-lockorder", string(raw)); code != http.StatusOK {
+		t.Fatalf("register = %d", code)
+	}
+
+	const rounds = 40
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if code := serve("POST", "/functions/cas-lockorder/record", `{"input":"A"}`); code != http.StatusOK {
+					t.Errorf("record = %d", code)
+					return
+				}
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if code := serve("POST", "/gc", ""); code != http.StatusOK {
+					t.Errorf("gc = %d", code)
+					return
+				}
+			}
+		}()
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+		d.Close()
+	case <-time.After(60 * time.Second):
+		t.Fatal("concurrent record and GC deadlocked")
+	}
 }

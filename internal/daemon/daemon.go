@@ -36,6 +36,7 @@ import (
 	"faasnap/internal/kvstore"
 	"faasnap/internal/obs"
 	"faasnap/internal/resilience"
+	"faasnap/internal/routing"
 	"faasnap/internal/slo"
 	"faasnap/internal/snapfile"
 	"faasnap/internal/statedir"
@@ -155,6 +156,9 @@ type Daemon struct {
 	// and its snapfile/registry publish would collect the just-written
 	// chunks as orphans and the acked snapfile would then reference
 	// chunks that no longer exist. Writers hold read; sweeps hold write.
+	// Lock order: casOps before any fnState.mu. The sweep walks every
+	// fnState under the write lock, so a writer that took its fs.mu
+	// first would deadlock against it.
 	casOps sync.RWMutex
 
 	// casLazyStop/casLazyWG stop and drain the background lazy-chunk
@@ -164,6 +168,16 @@ type Daemon struct {
 	casLazyStop chan struct{}
 	casLazyOnce sync.Once
 	casLazyWG   sync.WaitGroup
+
+	// lazyQueued counts, per digest, the chunk refs queued for a
+	// background lazy fetcher; GET /manifest reports them as
+	// chunks_pending rather than chunks_missing.
+	lazyMu     sync.Mutex
+	lazyQueued map[casstore.Digest]int
+
+	// httpInFlight counts instrumented requests in flight across every
+	// route, for the routing digest.
+	httpInFlight atomic.Int64
 
 	// admInFlight/admCapacity mirror the admission limiter into the
 	// scrape surface; cached here so the hot path never takes the
@@ -175,21 +189,6 @@ type Daemon struct {
 	// the access pattern is read-dominated: every invoke loads, only the
 	// first invoke of a function stores.
 	breakers sync.Map
-
-	stats struct {
-		records     atomic.Int64
-		invocations atomic.Int64
-		byMode      sync.Map // mode string -> *atomic.Int64
-	}
-}
-
-// bumpMode adds n invocations to one mode's counter.
-func (d *Daemon) bumpMode(mode string, n int64) {
-	v, ok := d.stats.byMode.Load(mode)
-	if !ok {
-		v, _ = d.stats.byMode.LoadOrStore(mode, new(atomic.Int64))
-	}
-	v.(*atomic.Int64).Add(n)
 }
 
 // New builds a daemon, reloading persisted snapshots from StateDir.
@@ -234,6 +233,7 @@ func New(cfg Config) (*Daemon, error) {
 		events:     ledger,
 		deficitSeq: make(map[string]uint64),
 		deficitN:   make(map[string]int),
+		lazyQueued: make(map[casstore.Digest]int),
 		res:        cfg.Resilience.withDefaults(),
 		chaos:      chaos.New(),
 	}
@@ -348,7 +348,6 @@ func (d *Daemon) Handler() http.Handler {
 	// The metrics routes are deliberately uninstrumented: scraping must
 	// not change what the next scrape reports.
 	mux.HandleFunc("GET /metrics", d.handleMetricsProm)
-	mux.HandleFunc("GET /metrics.json", d.handleMetricsJSON)
 	handle := func(pattern string, h http.HandlerFunc) {
 		mux.HandleFunc(pattern, d.instrument(pattern, h))
 	}
@@ -383,7 +382,9 @@ func (d *Daemon) Handler() http.Handler {
 // handleReady is readiness, distinct from /healthz liveness: a daemon
 // that cannot persist snapshots or reach its kvstore keeps answering
 // /healthz (the process is alive) but reports 503 here so a gateway
-// health checker drains it instead of black-holing requests.
+// health checker drains it instead of black-holing requests. A ready
+// daemon's 200 body is the routing digest (internal/routing), built by
+// the same code as /slo, /profiles?summary=1 and /manifest.
 func (d *Daemon) handleReady(w http.ResponseWriter, r *http.Request) {
 	// A recovering daemon is alive but not yet authoritative: manifest
 	// replay or snapshot re-deployment is still in flight, so a gateway
@@ -416,7 +417,15 @@ func (d *Daemon) handleReady(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{"ready": false, "reasons": reasons})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ready": true})
+	writeJSON(w, http.StatusOK, routing.Digest{
+		Ready:             true,
+		HTTPInFlight:      d.httpInFlight.Load() - 1,
+		AdmissionInFlight: d.limiter.InFlight(),
+		AdmissionCapacity: d.limiter.Max(),
+		SLO:               d.slo.Report(),
+		Profiles:          obs.Summarize(d.profiles.Query(obs.Filter{}, 0)),
+		Manifest:          d.manifestSummary(),
+	})
 }
 
 // recordTrace builds a Zipkin-style span tree for one invocation, as
@@ -868,6 +877,13 @@ func (d *Daemon) handleRecord(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	if d.cfg.StateDir != "" {
+		// Hold the GC sweep off until this recording's chunks are
+		// referenced by the registry-published chunk map below; casOps
+		// comes before fs.mu.
+		d.casOps.RLock()
+		defer d.casOps.RUnlock()
+	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	// The §5 record flow: sanitizing on for the traced invocation,
@@ -910,11 +926,6 @@ func (d *Daemon) handleRecord(w http.ResponseWriter, r *http.Request) {
 	d.storeInput(fs.spec, in)
 	var chunks *snapfile.ChunkMap
 	if d.cfg.StateDir != "" {
-		// Hold the GC sweep off until this recording's chunks are
-		// referenced by the registry-published chunk map below (the defer
-		// releases after fs.chunks is set).
-		d.casOps.RLock()
-		defer d.casOps.RUnlock()
 		// Chunk the snapshot into the content-addressed store first:
 		// chunks shared with earlier recordings (the base image) dedup to
 		// nothing, and a crash before the snapfile commit leaves only
@@ -962,7 +973,6 @@ func (d *Daemon) handleRecord(w http.ResponseWriter, r *http.Request) {
 	fs.arts = arts
 	fs.chunks = chunks
 	fs.record = &res
-	d.stats.records.Add(1)
 	core.ObserveRecord(d.telemetry, fs.spec.Name, res)
 	d.log.Printf("recorded %s input %s: ws=%d ls=%d regions=%d", fs.spec.Name, in.Name, res.WSPages, res.LSPages, res.LSRegions)
 	writeJSON(w, http.StatusOK, RecordResponse{
@@ -1165,8 +1175,6 @@ func (d *Daemon) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		}
 		remote = append(remote, ac.TraceSpans()...)
 	}
-	d.stats.invocations.Add(1)
-	d.bumpMode(degraded.mode.String(), 1)
 	core.ObserveInvoke(d.telemetry, res)
 	out := toResponse(fs.spec.Name, res)
 	if degraded.mode != mode {
@@ -1332,8 +1340,6 @@ func (d *Daemon) handleBurst(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results = append(resp.Results, ir)
 	}
-	d.stats.invocations.Add(int64(req.Parallel))
-	d.bumpMode(degraded.mode.String(), int64(req.Parallel))
 	core.ObserveBurst(d.telemetry, br)
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -1343,22 +1349,6 @@ func (d *Daemon) handleBurst(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	d.telemetry.WritePrometheus(w)
-}
-
-// handleMetricsJSON serves the legacy JSON counters (the pre-telemetry
-// GET /metrics payload, kept for existing consumers).
-func (d *Daemon) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	byMode := make(map[string]int64)
-	d.stats.byMode.Range(func(k, v interface{}) bool {
-		byMode[k.(string)] = v.(*atomic.Int64).Load()
-		return true
-	})
-	out := map[string]interface{}{
-		"records":     d.stats.records.Load(),
-		"invocations": d.stats.invocations.Load(),
-		"by_mode":     byMode,
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 func decodeBody(r *http.Request, v interface{}) error {

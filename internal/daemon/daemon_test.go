@@ -113,10 +113,8 @@ func TestFullLifecycle(t *testing.T) {
 	}
 
 	// Metrics counted.
-	var metricsOut map[string]interface{}
-	doJSON(t, "GET", srv.URL+"/metrics.json", nil, &metricsOut)
-	if metricsOut["invocations"].(float64) != 2 {
-		t.Fatalf("metrics = %v", metricsOut)
+	if n := metricSum(t, srv.URL, "faasnap_invocations_total", ""); n != 2 {
+		t.Fatalf("faasnap_invocations_total = %v", n)
 	}
 
 	// Delete.

@@ -21,6 +21,7 @@ import (
 	"faasnap/internal/chaos"
 	"faasnap/internal/core"
 	"faasnap/internal/events"
+	"faasnap/internal/routing"
 	"faasnap/internal/snapfile"
 	"faasnap/internal/statedir"
 	"faasnap/internal/trace"
@@ -233,53 +234,42 @@ func (d *Daemon) sweepStateDir() {
 	}
 }
 
-// ManifestFunction is one function's durable journal state plus the
-// local chunk store's deficit against its chunk map.
-type ManifestFunction struct {
-	statedir.Entry
-	// ChunksMissing counts chunk-map refs absent from the local store —
-	// typically lazy chunks lost to a failed background fetch. Non-zero
-	// values tell the gateway's anti-entropy pass this replica needs an
-	// eager chunk re-sync from a complete copy.
-	ChunksMissing int `json:"chunks_missing,omitempty"`
-	// DeficitSeq is the ledger seq of the manifest_deficit event that
-	// announced the deficit; the gateway links its repair event back to
-	// it as cause_seq, making the causality chain resolvable across
-	// daemons.
-	DeficitSeq uint64 `json:"deficit_seq,omitempty"`
-}
-
-// ManifestResponse is GET /manifest: the durable-state summary the
-// gateway's anti-entropy sweep compares across replicas.
-type ManifestResponse struct {
-	Digest     string             `json:"digest"`
-	Recovering bool               `json:"recovering"`
-	Functions  []ManifestFunction `json:"functions"`
-}
+// ManifestResponse is GET /manifest (routing.Manifest, the wire
+// format the gateway decodes too).
+type ManifestResponse = routing.Manifest
 
 // handleManifest reports the manifest digest and per-function
 // generations (tombstones included). It intentionally serves during
 // recovery — the journal is fully replayed before any handler runs;
-// only snapfile re-deployment is still in flight — so a gateway can
+// only snapfile re-deployment is still in flight — so an operator can
 // see what a recovering backend will hold.
 func (d *Daemon) handleManifest(w http.ResponseWriter, r *http.Request) {
-	if d.manifest == nil {
-		writeErr(w, http.StatusNotFound, "no state directory; this daemon keeps no durable manifest")
+	if mr := d.manifestSummary(); mr != nil {
+		writeJSON(w, http.StatusOK, mr)
 		return
 	}
+	writeErr(w, http.StatusNotFound, "no state directory; this daemon keeps no durable manifest")
+}
+
+// manifestSummary builds the manifest part of GET /manifest and of the
+// routing digest; nil for a daemon without a state directory.
+func (d *Daemon) manifestSummary() *routing.Manifest {
+	if d.manifest == nil {
+		return nil
+	}
 	entries := d.manifest.Entries()
-	fns := make([]ManifestFunction, 0, len(entries))
+	fns := make([]routing.ManifestFunction, 0, len(entries))
 	for _, e := range entries {
-		mf := ManifestFunction{Entry: e}
+		mf := routing.ManifestFunction{Entry: e}
 		if !e.Deleted && e.HasSnapshot {
-			mf.ChunksMissing = d.missingChunks(e.Name)
+			mf.ChunksMissing, mf.ChunksPending = d.absentChunks(e.Name)
 			mf.DeficitSeq = d.noteDeficit(e.Name, mf.ChunksMissing)
 		}
 		fns = append(fns, mf)
 	}
-	writeJSON(w, http.StatusOK, ManifestResponse{
+	return &routing.Manifest{
 		Digest:     d.manifest.Digest(),
 		Recovering: d.recovering.Load(),
 		Functions:  fns,
-	})
+	}
 }

@@ -1,17 +1,20 @@
 package daemon
 
-// Tests for GET /readyz (readiness distinct from /healthz liveness)
-// and for trace-id adoption from an upstream traceparent — the two
-// daemon-side contracts the gateway tier depends on.
+// Tests for GET /readyz (readiness distinct from /healthz liveness,
+// with the routing digest as its 200 body) and for trace-id adoption
+// from an upstream traceparent — the daemon-side contracts the gateway
+// tier depends on.
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"testing"
 	"time"
 
 	"faasnap/internal/kvstore"
+	"faasnap/internal/routing"
 )
 
 func TestReadyzOK(t *testing.T) {
@@ -22,9 +25,9 @@ func TestReadyzOK(t *testing.T) {
 	}
 	defer kv.Close()
 	_, srv := newTestDaemon(t, Config{StateDir: t.TempDir(), KVAddr: addr})
-	var out map[string]bool
+	var out routing.Digest
 	resp := doJSON(t, "GET", srv.URL+"/readyz", nil, &out)
-	if resp.StatusCode != 200 || !out["ready"] {
+	if resp.StatusCode != 200 || !out.Ready {
 		t.Fatalf("readyz = %d %v", resp.StatusCode, out)
 	}
 }
@@ -112,5 +115,29 @@ func TestInvokeAdoptsUpstreamTraceID(t *testing.T) {
 	}
 	if r := doJSON(t, "GET", srv.URL+"/traces/gw00000000cafe", nil, nil); r.StatusCode != 200 {
 		t.Fatalf("GET /traces/{upstream id} = %d, want 200", r.StatusCode)
+	}
+}
+
+// An idle daemon's digest reports no load beyond the probe itself (which
+// it excludes) and its admission window; its manifest part matches
+// GET /manifest.
+func TestReadyzDigestIdle(t *testing.T) {
+	_, srv := newTestDaemon(t, Config{StateDir: t.TempDir(), Resilience: ResilienceConfig{MaxInFlight: 7}})
+	recordedFn(t, srv.URL)
+	var dg routing.Digest
+	if resp := doJSON(t, "GET", srv.URL+"/readyz", nil, &dg); resp.StatusCode != 200 {
+		t.Fatalf("readyz = %d", resp.StatusCode)
+	}
+	if !dg.Ready || dg.HTTPInFlight != 0 || dg.AdmissionInFlight != 0 || dg.AdmissionCapacity != 7 {
+		t.Fatalf("idle digest load = ready %v, http %d, admission %d/%d; want true, 0, 0/7",
+			dg.Ready, dg.HTTPInFlight, dg.AdmissionInFlight, dg.AdmissionCapacity)
+	}
+	if dg.SLO == nil || dg.Profiles == nil || dg.Manifest == nil {
+		t.Fatalf("digest parts missing: slo %v, profiles %v, manifest %v", dg.SLO != nil, dg.Profiles != nil, dg.Manifest != nil)
+	}
+	var mr ManifestResponse
+	doJSON(t, "GET", srv.URL+"/manifest", nil, &mr)
+	if got, want := fmt.Sprintf("%+v", *dg.Manifest), fmt.Sprintf("%+v", mr); got != want {
+		t.Fatalf("digest manifest = %s, GET /manifest = %s", got, want)
 	}
 }

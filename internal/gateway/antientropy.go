@@ -1,14 +1,14 @@
 package gateway
 
 // Anti-entropy re-sync: the health sweep learns each backend's durable
-// manifest (digest + per-function generations from GET /manifest), and
-// after every sweep the gateway compares manifests across each
-// function's replica set. A backend that rejoined with lost or stale
-// state — wiped disk, quarantined snapshot, missed delete — is marked
-// stale, demoted in placement, and repaired by replaying the missing
-// registrations and recordings through its normal API from the
-// owner/standby copy. When a sweep finds no deficits the backend
-// returns to full ring weight. See GATEWAY.md.
+// manifest (digest + per-function generations) from its /readyz
+// routing digest, and after every sweep the gateway compares manifests
+// across each function's replica set. A backend that rejoined with
+// lost or stale state — wiped disk, quarantined snapshot, missed
+// delete — is marked stale, demoted in placement, and repaired by
+// replaying the missing registrations and recordings through its
+// normal API from the owner/standby copy. When a sweep finds no
+// deficits the backend returns to full ring weight. See GATEWAY.md.
 
 import (
 	"bytes"
@@ -20,63 +20,10 @@ import (
 	"time"
 
 	"faasnap/internal/events"
+	"faasnap/internal/routing"
 	"faasnap/internal/telemetry"
 	"faasnap/internal/trace"
 )
-
-// manifestEntry mirrors the daemon's statedir.Entry JSON: one
-// function's durable state on one backend.
-type manifestEntry struct {
-	Name        string `json:"name"`
-	Generation  uint64 `json:"generation"`
-	Deleted     bool   `json:"deleted"`
-	HasSnapshot bool   `json:"has_snapshot"`
-	RecordInput string `json:"record_input,omitempty"`
-	Spec        string `json:"spec,omitempty"`
-	// ChunksMissing is the backend's chunk-store deficit against this
-	// function's chunk map (lazy chunks lost to a failed background
-	// fetch); non-zero triggers an eager chunk re-sync repair.
-	ChunksMissing int `json:"chunks_missing,omitempty"`
-	// DeficitSeq is the seq of the backend's manifest_deficit ledger
-	// event announcing that deficit; the gateway's repair event cites it
-	// as cause_seq so the causality chain resolves across daemons.
-	DeficitSeq uint64 `json:"deficit_seq,omitempty"`
-}
-
-// manifestInfo mirrors the daemon's GET /manifest response.
-type manifestInfo struct {
-	Digest     string          `json:"digest"`
-	Recovering bool            `json:"recovering"`
-	Functions  []manifestEntry `json:"functions"`
-}
-
-func (m *manifestInfo) entry(fn string) (manifestEntry, bool) {
-	for _, e := range m.Functions {
-		if e.Name == fn {
-			return e, true
-		}
-	}
-	return manifestEntry{}, false
-}
-
-// fetchManifest pulls one backend's durable-state summary; nil for
-// daemons without a state dir (404) or that predate the endpoint.
-func (p *Pool) fetchManifest(b *Backend) *manifestInfo {
-	resp, err := p.client.Get("http://" + b.Addr + "/manifest")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil
-	}
-	var mi manifestInfo
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&mi); err != nil {
-		return nil
-	}
-	return &mi
-}
 
 // resyncCounter counts one repair action issued to a backend.
 func (p *Pool) resyncCounter(b *Backend, action string) *telemetry.Counter {
@@ -134,9 +81,10 @@ type syncResult struct {
 
 // resyncChunkSync asks backend b to pull fn's snapshot from source via
 // the chunk-level sync endpoint, so only chunks b doesn't already hold
-// move over the wire. Returns the daemon's transfer accounting; ok is
-// false when the backend predates the endpoint or the pull failed, in
-// which case the caller falls back to replaying the recording.
+// move over the wire. Returns the daemon's transfer accounting, whose
+// fetched bytes it also counts; ok is false when the backend predates
+// the endpoint or the pull failed, in which case the caller falls back
+// to replaying the recording.
 // eager asks the target to fetch every missing chunk before replying
 // instead of deferring non-loading-set chunks to its background
 // fetcher — used when the repair itself is about missing lazy chunks.
@@ -160,6 +108,7 @@ func (p *Pool) resyncChunkSync(b *Backend, fn, source string, eager bool) (syncR
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&sr); err != nil {
 		return syncResult{}, false
 	}
+	p.chunkBytesCounter(b).Add(float64(sr.BytesFetched))
 	return sr, true
 }
 
@@ -206,14 +155,49 @@ func (p *Pool) ResyncNow() int {
 		start, dur                   time.Duration
 	}
 	var repairs []repairRec
-	timed := func(fn, backend, action, traceID string, start time.Duration) {
+	actions := 0
+	// repair runs one repair op against b. On success it counts the op
+	// under counter, times it as action, and publishes ev — completed
+	// with the type, function, backend and action — as the repair event.
+	repair := func(b *Backend, fn, counter, action string, op func() (ev events.Event, ok bool)) bool {
+		start := time.Since(t0)
+		ev, ok := op()
+		if !ok {
+			return false
+		}
+		p.resyncCounter(b, counter).Inc()
+		actions++
 		repairs = append(repairs, repairRec{
-			fn: fn, backend: backend, action: action, traceID: traceID,
+			fn: fn, backend: b.Addr, action: action, traceID: ev.TraceID,
 			start: start, dur: time.Since(t0) - start,
 		})
+		ev.Type, ev.Function = events.Repair, fn
+		if ev.Fields == nil {
+			ev.Fields = map[string]string{}
+		}
+		ev.Fields["backend"], ev.Fields["action"] = b.Addr, action
+		p.noteRepair(b.Addr, ev)
+		return true
 	}
+	replay := func(b *Backend, method, path string, body []byte) func() (events.Event, bool) {
+		return func() (events.Event, bool) { return events.Event{}, p.resyncOp(b, method, path, body) }
+	}
+	chunkSync := func(b *Backend, fn, source string, eager bool) func() (events.Event, bool) {
+		return func() (events.Event, bool) {
+			sr, ok := p.resyncChunkSync(b, fn, source, eager)
+			if !ok {
+				return events.Event{}, false
+			}
+			return events.Event{TraceID: sr.TraceID, Fields: map[string]string{
+				"source":         source,
+				"chunks_fetched": strconv.Itoa(sr.ChunksFetched),
+				"bytes_fetched":  strconv.FormatInt(sr.BytesFetched, 10),
+			}}, true
+		}
+	}
+
 	backends := p.snapshot()
-	manifests := make(map[string]*manifestInfo, len(backends))
+	manifests := make(map[string]*routing.Manifest, len(backends))
 	fns := make(map[string]bool)
 	for _, b := range backends {
 		mi := b.manifestInfo()
@@ -232,18 +216,17 @@ func (p *Pool) ResyncNow() int {
 	}
 	sort.Strings(names)
 
-	actions := 0
 	stale := make(map[string]bool)
 	for _, fn := range names {
 		prefs := p.preference(fn, 1+p.replicas)
-		var winner *manifestEntry
+		var winner *routing.ManifestFunction
 		var winnerAddr string
 		for _, b := range prefs {
 			mi := manifests[b.Addr]
 			if mi == nil {
 				continue
 			}
-			if e, ok := mi.entry(fn); ok {
+			if e, ok := mi.Entry(fn); ok {
 				// Highest generation wins; among equals prefer a copy with
 				// the snapshot, then the one with the smallest chunk-store
 				// deficit — a repair source must be able to serve every
@@ -271,38 +254,20 @@ func (p *Pool) ResyncNow() int {
 			if mi == nil {
 				continue
 			}
-			e, ok := mi.entry(fn)
+			e, ok := mi.Entry(fn)
 			if winner.Deleted {
 				if ok && !e.Deleted && e.Generation < winner.Generation {
 					stale[b.Addr] = true
-					rs := time.Since(t0)
-					if p.resyncOp(b, http.MethodDelete, "/functions/"+fn, nil) {
-						p.resyncCounter(b, "delete").Inc()
-						actions++
-						timed(fn, b.Addr, "delete", "", rs)
-						p.noteRepair(b.Addr, events.Event{
-							Type: events.Repair, Function: fn,
-							Fields: map[string]string{"backend": b.Addr, "action": "delete"},
-						})
-					}
+					repair(b, fn, "delete", "delete", replay(b, http.MethodDelete, "/functions/"+fn, nil))
 				}
 				continue
 			}
 			if !ok || e.Deleted {
 				stale[b.Addr] = true
-				rs := time.Since(t0)
-				if p.resyncOp(b, http.MethodPut, "/functions/"+fn, []byte(winner.Spec)) {
-					p.resyncCounter(b, "register").Inc()
-					actions++
-					timed(fn, b.Addr, "register", "", rs)
-					p.noteRepair(b.Addr, events.Event{
-						Type: events.Repair, Function: fn,
-						Fields: map[string]string{"backend": b.Addr, "action": "register"},
-					})
-				} else {
+				if !repair(b, fn, "register", "register", replay(b, http.MethodPut, "/functions/"+fn, []byte(winner.Spec))) {
 					continue // no point recording onto a failed register
 				}
-				e = manifestEntry{Name: fn}
+				e = routing.ManifestFunction{}
 			}
 			if winner.HasSnapshot && !e.HasSnapshot {
 				stale[b.Addr] = true
@@ -312,37 +277,11 @@ func (p *Pool) ResyncNow() int {
 				// stale-but-overlapping copy) repairs with a fraction of the
 				// snapfile's bytes. Re-recording is the fallback for sources
 				// or targets that predate the chunk store.
-				synced := false
-				if winnerAddr != "" && winnerAddr != b.Addr {
-					rs := time.Since(t0)
-					if sr, ok := p.resyncChunkSync(b, fn, winnerAddr, false); ok {
-						p.resyncCounter(b, "chunks").Inc()
-						p.chunkBytesCounter(b).Add(float64(sr.BytesFetched))
-						actions++
-						synced = true
-						timed(fn, b.Addr, "chunks", sr.TraceID, rs)
-						p.noteRepair(b.Addr, events.Event{
-							Type: events.Repair, Function: fn, TraceID: sr.TraceID,
-							Fields: map[string]string{
-								"backend": b.Addr, "action": "chunks", "source": winnerAddr,
-								"chunks_fetched": strconv.Itoa(sr.ChunksFetched),
-								"bytes_fetched":  strconv.FormatInt(sr.BytesFetched, 10),
-							},
-						})
-					}
-				}
+				synced := winnerAddr != "" && winnerAddr != b.Addr &&
+					repair(b, fn, "chunks", "chunks", chunkSync(b, fn, winnerAddr, false))
 				if !synced {
 					body, _ := json.Marshal(map[string]string{"input": winner.RecordInput})
-					rs := time.Since(t0)
-					if p.resyncOp(b, http.MethodPost, "/functions/"+fn+"/record", body) {
-						p.resyncCounter(b, "record").Inc()
-						actions++
-						timed(fn, b.Addr, "record", "", rs)
-						p.noteRepair(b.Addr, events.Event{
-							Type: events.Repair, Function: fn,
-							Fields: map[string]string{"backend": b.Addr, "action": "record"},
-						})
-					}
+					repair(b, fn, "record", "record", replay(b, http.MethodPost, "/functions/"+fn+"/record", body))
 				}
 			} else if winner.HasSnapshot && e.HasSnapshot && e.ChunksMissing > 0 &&
 				winner.ChunksMissing == 0 && b.Addr != winnerAddr {
@@ -350,29 +289,21 @@ func (p *Pool) ResyncNow() int {
 				// content — a lazy tail its background fetcher abandoned, or
 				// out-of-band loss. It serves fine from its loading set but
 				// answers 404 to peers for the missing digests, so repair by
-				// pulling the deficit eagerly from a complete copy.
+				// pulling the deficit eagerly from a complete copy. Chunks
+				// still queued for its lazy fetcher (chunks_pending) are in
+				// flight, not lost, and call for no repair.
 				stale[b.Addr] = true
-				rs := time.Since(t0)
-				if sr, ok := p.resyncChunkSync(b, fn, winnerAddr, true); ok {
-					p.resyncCounter(b, "chunks").Inc()
-					p.chunkBytesCounter(b).Add(float64(sr.BytesFetched))
-					actions++
-					timed(fn, b.Addr, "chunks_eager", sr.TraceID, rs)
+				eagerSync := chunkSync(b, fn, winnerAddr, true)
+				repair(b, fn, "chunks", "chunks_eager", func() (events.Event, bool) {
+					ev, ok := eagerSync()
 					// The repair event cites the backend's own
 					// manifest_deficit event as its cause: cause_seq plus
 					// cause_origin (the backend's address) resolve against
 					// that daemon's /events ledger, and trace_id resolves to
 					// the restore waterfall the sync minted.
-					p.noteRepair(b.Addr, events.Event{
-						Type: events.Repair, Function: fn, TraceID: sr.TraceID,
-						CauseSeq: e.DeficitSeq, CauseOrigin: b.Addr,
-						Fields: map[string]string{
-							"backend": b.Addr, "action": "chunks_eager", "source": winnerAddr,
-							"chunks_fetched": strconv.Itoa(sr.ChunksFetched),
-							"bytes_fetched":  strconv.FormatInt(sr.BytesFetched, 10),
-						},
-					})
-				}
+					ev.CauseSeq, ev.CauseOrigin = e.DeficitSeq, b.Addr
+					return ev, ok
+				})
 			}
 		}
 	}

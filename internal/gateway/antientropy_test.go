@@ -1,7 +1,7 @@
 package gateway
 
 // Anti-entropy unit tests over scriptable fake backends: staleness
-// detection from /manifest generations, repair replay (register,
+// detection from manifest generations, repair replay (register,
 // record, delete), placement demotion while stale, and recovery to
 // full ring weight once manifests converge.
 
@@ -12,7 +12,8 @@ import (
 	"testing"
 )
 
-// scriptManifest sets a fake backend's GET /manifest response.
+// scriptManifest sets the manifest a fake backend's /readyz digest
+// carries.
 func scriptManifest(f *fakeBackend, digest string, entries ...string) {
 	f.manifestJSON.Store(fmt.Sprintf(`{"digest":%q,"recovering":false,"functions":[%s]}`,
 		digest, strings.Join(entries, ",")))
@@ -141,7 +142,7 @@ func TestAntiEntropyPropagatesDelete(t *testing.T) {
 }
 
 func TestAntiEntropyIgnoresManifestlessBackends(t *testing.T) {
-	// Backends without /manifest (stateless daemons, old versions) are
+	// Backends whose digest has no manifest (stateless daemons) are
 	// neither repair sources nor targets, and never marked stale.
 	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
 	g := newTestGateway(t, Config{Replicas: 1}, fakes...)

@@ -12,10 +12,13 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -291,6 +294,113 @@ func TestAntiEntropyRepairsMissingLazyChunks(t *testing.T) {
 
 	// Converged: the next pass is a no-op.
 	g.pool.CheckNow()
+	if n := g.pool.ResyncNow(); n != 0 {
+		t.Fatalf("converged pass issued %d actions", n)
+	}
+}
+
+// TestLazyTailIsPendingNotStale: a standby in the lazy tail of a chunk
+// sync reports the queued chunks as chunks_pending, not chunks_missing,
+// so the next anti-entropy pass issues no repair and leaves it clean.
+// The tail is held open deterministically: B syncs from A through a
+// proxy that parks every GET of a lazy chunk until the test releases it.
+func TestLazyTailIsPendingNotStale(t *testing.T) {
+	_, addrA := startRealDaemon(t)
+	_, addrB := startRealDaemon(t)
+
+	const fn = "lazytail-alpha"
+	base := "http://" + addrA
+	if st := daemonJSON(t, "PUT", base+"/functions/"+fn, chunkSyncSpec(fn), nil); st != http.StatusOK {
+		t.Fatalf("register on A = %d", st)
+	}
+	if st := daemonJSON(t, "POST", base+"/functions/"+fn+"/record",
+		map[string]string{"input": "A"}, nil); st != http.StatusOK {
+		t.Fatalf("record on A = %d", st)
+	}
+	var cm struct {
+		Chunks []struct {
+			Digest     string `json:"digest"`
+			LoadingSet bool   `json:"loading_set"`
+		} `json:"chunks"`
+	}
+	daemonJSON(t, "GET", base+"/functions/"+fn+"/chunkmap", nil, &cm)
+	lazy := map[string]bool{}
+	for _, c := range cm.Chunks {
+		if !c.LoadingSet {
+			lazy[c.Digest] = true
+		}
+	}
+	if len(lazy) == 0 {
+		t.Fatal("chunk map has no lazy chunks")
+	}
+
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	rp := httputil.NewSingleHostReverseProxy(&url.URL{Scheme: "http", Host: addrA})
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if dg, ok := strings.CutPrefix(r.URL.Path, "/chunks/"); ok && lazy[dg] {
+			select {
+			case <-release:
+			case <-r.Context().Done():
+				return
+			}
+		}
+		rp.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { open(); proxy.Close() })
+	proxyA := strings.TrimPrefix(proxy.URL, "http://")
+	g := newTestGateway(t, Config{Replicas: 1, Backends: []string{proxyA, addrB}})
+
+	// The gateway's first sweep, run by New, registers fn on B and
+	// chunk-syncs it from A; B replied once the loading set was in, and
+	// its lazy tail is parked.
+	if v := metricValue(t, g, `faasnap_gw_resync_total{action="chunks",backend="`+addrB+`"}`); v != 1 {
+		t.Fatalf(`initial resync action "chunks" = %v, want 1`, v)
+	}
+
+	standing := func() (missing, pending int) {
+		t.Helper()
+		var mi struct {
+			Functions []struct {
+				Name          string `json:"name"`
+				ChunksMissing int    `json:"chunks_missing"`
+				ChunksPending int    `json:"chunks_pending"`
+			} `json:"functions"`
+		}
+		daemonJSON(t, "GET", "http://"+addrB+"/manifest", nil, &mi)
+		for _, e := range mi.Functions {
+			if e.Name == fn {
+				return e.ChunksMissing, e.ChunksPending
+			}
+		}
+		t.Fatalf("B's manifest has no entry for %s", fn)
+		return 0, 0
+	}
+
+	// In the tail: every lazy chunk is pending, none missing, and the
+	// pass issues nothing and clears the stale flag.
+	g.pool.CheckNow()
+	if missing, pending := standing(); missing != 0 || pending == 0 {
+		t.Fatalf("in the lazy tail: chunks_missing=%d chunks_pending=%d, want 0 and >0", missing, pending)
+	}
+	if n := g.pool.ResyncNow(); n != 0 {
+		t.Fatalf("pass over a lazy tail issued %d repairs", n)
+	}
+	if b, _ := g.pool.backend(addrB); b.Stale() {
+		t.Fatal("backend in its lazy tail marked stale")
+	}
+	if v := metricValue(t, g, `faasnap_gw_resync_total{action="chunks",backend="`+addrB+`"}`); v != 1 {
+		t.Fatalf(`resync action "chunks" = %v, want 1 (the initial sync only)`, v)
+	}
+
+	// Released, the tail drains and nothing is left pending.
+	open()
+	waitCASDrained(t, "http://"+addrB)
+	g.pool.CheckNow()
+	if missing, pending := standing(); missing != 0 || pending != 0 {
+		t.Fatalf("after the tail: chunks_missing=%d chunks_pending=%d, want 0 and 0", missing, pending)
+	}
 	if n := g.pool.ResyncNow(); n != 0 {
 		t.Fatalf("converged pass issued %d actions", n)
 	}

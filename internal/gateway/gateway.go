@@ -61,7 +61,8 @@ type Config struct {
 	Logger *log.Logger
 	// Registry backs GET /metrics; nil creates a private one.
 	Registry *telemetry.Registry
-	// HealthInterval is the /readyz + /metrics sweep period (default 1s).
+	// HealthInterval is the health sweep period: one GET /readyz routing
+	// digest per backend per sweep (default 1s).
 	HealthInterval time.Duration
 	// RequestTimeout bounds one client request across every backend
 	// attempt (default 30s); expiry returns 504.
@@ -306,7 +307,7 @@ func (g *Gateway) candidates(fn string) []*Backend {
 	if len(prefs) <= 1 || g.cfg.Policy == PolicySticky {
 		if len(prefs) > 1 {
 			// Spillover order: a standby whose admission window was full
-			// at the last scrape will certainly shed, so unsaturated
+			// at the last sweep will certainly shed, so unsaturated
 			// backends go first; within each group, least-loaded wins.
 			rest := append([]*Backend(nil), prefs[1:]...)
 			sort.SliceStable(rest, func(i, j int) bool {

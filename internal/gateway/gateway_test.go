@@ -28,30 +28,24 @@ type fakeBackend struct {
 	ready  atomic.Bool
 	// creates records PUT /functions bodies seen (fan-out tests).
 	creates atomic.Int64
-	// sloJSON / profJSON script GET /slo and GET /profiles for the
-	// observability roll-up tests; unset means 404 (an old daemon).
+	// sloJSON / profJSON script the SLO report and profile summary the
+	// /readyz digest carries, for the observability roll-up tests; unset
+	// means the digest omits them.
 	sloJSON  atomic.Value // string
 	profJSON atomic.Value // string
 	// traces is the handler for GET /traces/{id}; unset means 404.
 	traces atomic.Value // func(w http.ResponseWriter, r *http.Request)
-	// manifestJSON scripts GET /manifest for the anti-entropy tests;
-	// unset means 404 (a stateless or pre-manifest daemon).
+	// manifestJSON scripts the digest's manifest for the anti-entropy
+	// tests; unset means the digest omits it (a stateless daemon).
 	manifestJSON atomic.Value // string
+	// inflight / admitted / capacity script the digest's load figures.
+	inflight, admitted, capacity atomic.Int64
+	// requests counts every request this backend served.
+	requests atomic.Int64
 	// records / deletes count the re-sync mutations replayed onto this
 	// backend.
 	records atomic.Int64
 	deletes atomic.Int64
-}
-
-// serveScripted writes a scripted JSON body, or 404 when unset.
-func serveScripted(w http.ResponseWriter, v *atomic.Value) {
-	s, ok := v.Load().(string)
-	if !ok || s == "" {
-		w.WriteHeader(http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	io.WriteString(w, s)
 }
 
 func newFakeBackend(t *testing.T) *fakeBackend {
@@ -68,20 +62,22 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			return
 		}
-		fmt.Fprint(w, `{"ready":true}`)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "# TYPE faasnap_http_in_flight gauge\n")
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, `{"ready":true,"http_inflight":%d,"admission_inflight":%d,"admission_capacity":%d`,
+			f.inflight.Load(), f.admitted.Load(), f.capacity.Load())
+		for _, part := range []struct {
+			key string
+			v   *atomic.Value
+		}{{"slo", &f.sloJSON}, {"profiles", &f.profJSON}, {"manifest", &f.manifestJSON}} {
+			if s, ok := part.v.Load().(string); ok && s != "" {
+				fmt.Fprintf(w, `,%q:%s`, part.key, s)
+			}
+		}
+		io.WriteString(w, "}")
 	})
 	mux.HandleFunc("POST /functions/{name}/invoke", func(w http.ResponseWriter, r *http.Request) {
 		f.invokes.Add(1)
 		f.invoke.Load().(func(http.ResponseWriter, *http.Request))(w, r)
-	})
-	mux.HandleFunc("GET /slo", func(w http.ResponseWriter, r *http.Request) {
-		serveScripted(w, &f.sloJSON)
-	})
-	mux.HandleFunc("GET /profiles", func(w http.ResponseWriter, r *http.Request) {
-		serveScripted(w, &f.profJSON)
 	})
 	mux.HandleFunc("GET /traces/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if h, ok := f.traces.Load().(func(http.ResponseWriter, *http.Request)); ok {
@@ -95,9 +91,6 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"name":%q,"vm_state":"Running"}`, r.PathValue("name"))
 	})
-	mux.HandleFunc("GET /manifest", func(w http.ResponseWriter, r *http.Request) {
-		serveScripted(w, &f.manifestJSON)
-	})
 	mux.HandleFunc("POST /functions/{name}/record", func(w http.ResponseWriter, r *http.Request) {
 		f.records.Add(1)
 		w.Header().Set("Content-Type", "application/json")
@@ -107,7 +100,10 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		f.deletes.Add(1)
 		w.WriteHeader(http.StatusNoContent)
 	})
-	f.srv = httptest.NewServer(mux)
+	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f.requests.Add(1)
+		mux.ServeHTTP(w, r)
+	}))
 	f.addr = strings.TrimPrefix(f.srv.URL, "http://")
 	t.Cleanup(f.srv.Close)
 	return f
@@ -449,26 +445,41 @@ func TestClusterEndpoint(t *testing.T) {
 	}
 }
 
-func TestSumPromGauges(t *testing.T) {
-	text := `# HELP faasnap_http_in_flight Requests currently being served.
-# TYPE faasnap_http_in_flight gauge
-faasnap_http_in_flight{route="POST /functions/{name}/invoke"} 3
-faasnap_http_in_flight{route="POST /functions/{name}/burst"} 2
-faasnap_http_in_flight_other{route="x"} 100
-faasnap_http_requests_total{route="y"} 50
-faasnap_admission_inflight 17
-faasnap_admission_capacity 256
-`
-	sums := sumPromGauges(strings.NewReader(text),
-		"faasnap_http_in_flight", "faasnap_admission_inflight", "faasnap_admission_capacity")
-	if got := sums["faasnap_http_in_flight"]; got != 5 {
-		t.Fatalf("http_in_flight sum = %v, want 5", got)
+// A health sweep makes exactly one request per backend, and /cluster
+// reports the load figures of each backend's /readyz digest.
+func TestSweepReadsOneDigestPerBackend(t *testing.T) {
+	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
+	fakes[0].inflight.Store(5)
+	fakes[0].admitted.Store(17)
+	fakes[0].capacity.Store(68)
+	scriptManifest(fakes[0], "d-0", liveEntry("fn-a", 1, true, "A"))
+	g := newTestGateway(t, Config{}, fakes...)
+	for _, f := range fakes {
+		f.requests.Store(0)
 	}
-	if got := sums["faasnap_admission_inflight"]; got != 17 {
-		t.Fatalf("admission_inflight sum = %v, want 17", got)
+	g.pool.CheckNow()
+	for i, f := range fakes {
+		if n := f.requests.Load(); n != 1 {
+			t.Errorf("backend %d served %d requests in one sweep, want 1", i, n)
+		}
 	}
-	if got := sums["faasnap_admission_capacity"]; got != 256 {
-		t.Fatalf("admission_capacity sum = %v, want 256", got)
+
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+	var body struct {
+		Backends []BackendStatus `json:"backends"`
+	}
+	e2eGet(t, srv.URL+"/cluster", &body)
+	got := map[string]BackendStatus{}
+	for _, b := range body.Backends {
+		got[b.Addr] = b
+	}
+	if b := got[fakes[0].addr]; b.InFlightDaemon != 5 || b.AdmissionUsed != 17 ||
+		b.AdmissionMax != 68 || b.Saturation != 0.25 || b.ManifestDigest != "d-0" {
+		t.Errorf("scripted backend row = %+v", b)
+	}
+	if b := got[fakes[1].addr]; !b.Ready || b.InFlightDaemon != 0 || b.Saturation != 0 {
+		t.Errorf("idle backend row = %+v", b)
 	}
 }
 

@@ -2,11 +2,11 @@ package gateway
 
 // The gateway half of the observability plane: cluster roll-ups over
 // the per-daemon SLO engines and flight recorders. The health sweep
-// (pool.check) already fetched every backend's GET /slo and
-// GET /profiles?summary=1; the handlers here merge those snapshots so
-// one request answers "is the cluster meeting its objectives, and
-// which functions/backends are burning budget" without fanning out on
-// the query path.
+// (pool.check) already read every backend's SLO report and profile
+// summary from its /readyz routing digest; the handlers here merge
+// those snapshots so one request answers "is the cluster meeting its
+// objectives, and which functions/backends are burning budget" without
+// fanning out on the query path.
 
 import (
 	"context"
@@ -26,7 +26,7 @@ import (
 
 // clusterSLO merges the last sweep's per-backend SLO reports. The
 // per-backend map keys are daemon addresses; backends whose sweep
-// found no report (down, or predating GET /slo) are absent.
+// found no report (down before their first digest) are absent.
 func (g *Gateway) clusterSLO() (*slo.Report, map[string]*slo.Report) {
 	per := make(map[string]*slo.Report)
 	var reports []*slo.Report

@@ -1,21 +1,20 @@
 package gateway
 
 // The backend pool: one entry per configured faasnapd, actively health
-// checked. Liveness/readiness comes from each daemon's GET /readyz (a
-// backend that answers /healthz but cannot persist snapshots or reach
-// its kvstore is drained, not black-holed); load comes from scraping
-// the daemon's Prometheus /metrics for its in-flight gauge, combined
-// with the gateway's own per-backend in-flight count, which reacts
-// faster than the scrape interval.
+// checked with one GET /readyz per backend per sweep. The status code
+// is the readiness verdict (a backend that answers /healthz but cannot
+// persist snapshots or reach its kvstore is drained, not black-holed);
+// a ready daemon's body is its routing digest (internal/routing): its
+// own in-flight load, which is combined with the gateway's per-backend
+// in-flight count (reacting faster than the sweep interval), plus the
+// SLO report, profile summary and manifest the roll-ups and
+// anti-entropy read.
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,6 +22,7 @@ import (
 	"faasnap/internal/events"
 	"faasnap/internal/obs"
 	"faasnap/internal/resilience"
+	"faasnap/internal/routing"
 	"faasnap/internal/slo"
 	"faasnap/internal/telemetry"
 	"faasnap/internal/trace"
@@ -41,13 +41,13 @@ type Backend struct {
 	ready     bool
 	lastErr   string
 	lastCheck time.Time
-	scraped   float64 // daemon-reported in-flight from the last scrape
+	scraped   float64 // daemon-reported in-flight from the last digest
 	admitted  float64 // daemon admission-limiter occupancy
 	capacity  float64 // daemon admission-limiter window
 
 	// Observability snapshots from the last sweep, feeding the gateway's
 	// /cluster/slo and /cluster/profiles roll-ups. Nil until a sweep has
-	// fetched them (or when the daemon predates the endpoints).
+	// read a digest carrying them.
 	sloRep  *slo.Report
 	profSum *obs.Summary
 
@@ -55,7 +55,7 @@ type Backend struct {
 	// stateless daemons); stale marks a backend the last anti-entropy
 	// pass found missing acknowledged state — demoted in placement until
 	// a pass finds nothing to repair.
-	manifest *manifestInfo
+	manifest *routing.Manifest
 	stale    bool
 }
 
@@ -89,15 +89,14 @@ func (b *Backend) setObserved(rep *slo.Report, sum *obs.Summary) {
 	b.mu.Unlock()
 }
 
-func (b *Backend) setManifest(mi *manifestInfo) {
+func (b *Backend) setManifest(mi *routing.Manifest) {
 	b.mu.Lock()
 	b.manifest = mi
 	b.mu.Unlock()
 }
 
-// manifestInfo returns the backend's /manifest snapshot from the last
-// sweep.
-func (b *Backend) manifestInfo() *manifestInfo {
+// manifestInfo returns the backend's manifest from the last sweep.
+func (b *Backend) manifestInfo() *routing.Manifest {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.manifest
@@ -117,14 +116,14 @@ func (b *Backend) Stale() bool {
 	return b.stale
 }
 
-// sloReport returns the backend's /slo report from the last sweep.
+// sloReport returns the backend's SLO report from the last sweep.
 func (b *Backend) sloReport() *slo.Report {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.sloRep
 }
 
-// profileSummary returns the backend's /profiles?summary=1 aggregation
+// profileSummary returns the backend's flight-recorder aggregation
 // from the last sweep.
 func (b *Backend) profileSummary() *obs.Summary {
 	b.mu.Lock()
@@ -133,7 +132,7 @@ func (b *Backend) profileSummary() *obs.Summary {
 }
 
 // saturation is the backend's admission-window occupancy in [0, 1] from
-// the last scrape (0 when the daemon predates the admission gauges).
+// the last sweep (0 before the first digest).
 func (b *Backend) saturation() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -144,8 +143,8 @@ func (b *Backend) saturation() float64 {
 }
 
 // load is the placement load signal: the gateway's own open requests
-// plus the daemon's last-scraped in-flight gauge (which counts load
-// arriving from other gateways or direct clients).
+// plus the daemon's in-flight count from the last digest (which counts
+// load arriving from other gateways or direct clients).
 func (b *Backend) load() int64 {
 	b.mu.Lock()
 	scraped := b.scraped
@@ -305,8 +304,8 @@ func (p *Pool) CheckNow() {
 	wg.Wait()
 }
 
-// check probes one backend: /readyz for the routing verdict, /metrics
-// for the daemon's own in-flight load.
+// check probes one backend with GET /readyz: the status code is the
+// routing verdict, and a ready daemon's body is its routing digest.
 func (p *Pool) check(b *Backend) {
 	up := p.reg.Gauge("faasnap_gw_backend_up",
 		"Backend readiness as seen by the gateway health checker (1 ready).",
@@ -317,123 +316,54 @@ func (p *Pool) check(b *Backend) {
 		up.Set(0)
 		return
 	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
+	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		b.setReady(false, fmt.Sprintf("readyz returned %d", resp.StatusCode))
 		up.Set(0)
 		return
 	}
-	b.setReady(true, "")
+	var dg routing.Digest
+	reason := ""
+	if err := json.NewDecoder(io.LimitReader(resp.Body, 16<<20)).Decode(&dg); err != nil {
+		// The status code is the verdict; an undecodable digest leaves
+		// the backend without a load, SLO, profile or manifest view for
+		// this sweep, so anti-entropy skips it.
+		dg, reason = routing.Digest{}, fmt.Sprintf("readyz digest: %v", err)
+	}
+	b.setReady(true, reason)
 	up.Set(1)
 
-	if mresp, err := p.client.Get("http://" + b.Addr + "/metrics"); err == nil {
-		sums := sumPromGauges(io.LimitReader(mresp.Body, 1<<20),
-			"faasnap_http_in_flight", "faasnap_admission_inflight", "faasnap_admission_capacity")
-		mresp.Body.Close()
-		inflight := sums["faasnap_http_in_flight"]
-		admitted := sums["faasnap_admission_inflight"]
-		capacity := sums["faasnap_admission_capacity"]
-		b.setScraped(inflight, admitted, capacity)
-		p.reg.Gauge("faasnap_gw_backend_inflight",
-			"Daemon-reported in-flight requests from the last /metrics scrape.",
-			telemetry.L("backend", b.Addr)).Set(inflight)
-		p.reg.Gauge("faasnap_gw_backend_admission_inflight",
-			"Daemon admission-limiter occupancy from the last /metrics scrape.",
-			telemetry.L("backend", b.Addr)).Set(admitted)
-		if capacity > 0 {
-			p.reg.Gauge("faasnap_gw_backend_saturation",
-				"Backend admission-window occupancy in [0,1] from the last scrape.",
-				telemetry.L("backend", b.Addr)).Set(admitted / capacity)
+	inflight, admitted, capacity := float64(dg.HTTPInFlight), float64(dg.AdmissionInFlight), float64(dg.AdmissionCapacity)
+	b.setScraped(inflight, admitted, capacity)
+	p.reg.Gauge("faasnap_gw_backend_inflight",
+		"Daemon-reported in-flight requests from the last health sweep.",
+		telemetry.L("backend", b.Addr)).Set(inflight)
+	p.reg.Gauge("faasnap_gw_backend_admission_inflight",
+		"Daemon admission-limiter occupancy from the last health sweep.",
+		telemetry.L("backend", b.Addr)).Set(admitted)
+	if capacity > 0 {
+		p.reg.Gauge("faasnap_gw_backend_saturation",
+			"Backend admission-window occupancy in [0,1] from the last health sweep.",
+			telemetry.L("backend", b.Addr)).Set(admitted / capacity)
+	}
+	// Mirror the SLO burn rates into per-backend gateway gauges, so one
+	// scrape of the gateway shows which backend is burning which
+	// function's budget.
+	if dg.SLO != nil {
+		for _, f := range dg.SLO.Functions {
+			p.reg.Gauge("faasnap_gw_backend_attainment",
+				"Per-backend SLO attainment from the last health sweep.",
+				telemetry.L("backend", b.Addr, "function", f.Function)).Set(f.Attainment)
+			for _, w := range f.Windows {
+				p.reg.Gauge("faasnap_gw_backend_burn_rate",
+					"Per-backend error-budget burn rate from the last health sweep.",
+					telemetry.L("backend", b.Addr, "function", f.Function, "window", w.Window)).Set(w.BurnRate)
+			}
 		}
 	}
-
-	b.setObserved(p.fetchSLO(b), p.fetchProfiles(b))
-	b.setManifest(p.fetchManifest(b))
-}
-
-// fetchSLO pulls one backend's GET /slo report and mirrors its burn
-// rates into per-backend gateway gauges, so one scrape of the gateway
-// shows which backend is burning which function's budget.
-func (p *Pool) fetchSLO(b *Backend) *slo.Report {
-	resp, err := p.client.Get("http://" + b.Addr + "/slo")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil
-	}
-	var rep slo.Report
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&rep); err != nil {
-		return nil
-	}
-	for _, f := range rep.Functions {
-		p.reg.Gauge("faasnap_gw_backend_attainment",
-			"Per-backend SLO attainment from the last /slo sweep.",
-			telemetry.L("backend", b.Addr, "function", f.Function)).Set(f.Attainment)
-		for _, w := range f.Windows {
-			p.reg.Gauge("faasnap_gw_backend_burn_rate",
-				"Per-backend error-budget burn rate from the last /slo sweep.",
-				telemetry.L("backend", b.Addr, "function", f.Function, "window", w.Window)).Set(w.BurnRate)
-		}
-	}
-	return &rep
-}
-
-// fetchProfiles pulls one backend's flight-recorder aggregation.
-func (p *Pool) fetchProfiles(b *Backend) *obs.Summary {
-	resp, err := p.client.Get("http://" + b.Addr + "/profiles?summary=1")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil
-	}
-	var sum obs.Summary
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&sum); err != nil {
-		return nil
-	}
-	return &sum
-}
-
-// sumPromGauges sums every series of each named metric family in one
-// pass over a Prometheus text exposition stream. Parsing is
-// deliberately minimal: the gateway only needs a few daemon gauges, not
-// a full scrape model.
-func sumPromGauges(r io.Reader, names ...string) map[string]float64 {
-	sums := make(map[string]float64, len(names))
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if strings.HasPrefix(line, "#") {
-			continue
-		}
-		for _, name := range names {
-			if !strings.HasPrefix(line, name) {
-				continue
-			}
-			rest := line[len(name):]
-			// Series are "name{labels} value" or "name value"; skip
-			// other families sharing the prefix (e.g. name_total).
-			if len(rest) > 0 && rest[0] != '{' && rest[0] != ' ' {
-				continue
-			}
-			i := strings.LastIndexByte(rest, ' ')
-			if i < 0 {
-				continue
-			}
-			if v, err := strconv.ParseFloat(rest[i+1:], 64); err == nil {
-				sums[name] += v
-			}
-			break
-		}
-	}
-	return sums
+	b.setObserved(dg.SLO, dg.Profiles)
+	b.setManifest(dg.Manifest)
 }
 
 // snapshot returns the backend list in stable (address) order.
